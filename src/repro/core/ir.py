@@ -58,20 +58,12 @@ class IRInstruction:
 
     def target_register(self) -> tuple[str, OperandKind, int] | None:
         """(operand name, kind, number) of the primary written register."""
-        for operand in self.definition.operands:
-            if operand.is_register and operand.direction.is_write:
-                number = self.registers.get(operand.name)
-                if number is not None:
-                    return operand.name, operand.kind, number
+        registers = self.registers
+        for operand in self.definition.register_writes:
+            number = registers.get(operand.name)
+            if number is not None:
+                return operand.name, operand.kind, number
         return None
-
-    def source_operands(self) -> list[tuple[str, OperandKind]]:
-        """Names and kinds of readable register operands."""
-        return [
-            (operand.name, operand.kind)
-            for operand in self.definition.operands
-            if operand.is_register and operand.direction.is_read
-        ]
 
 
 @dataclass
@@ -134,15 +126,19 @@ class Program:
             raise SynthesisError(
                 f"program {self.name!r} has no body; run a skeleton pass"
             )
-        instructions = tuple(
-            KernelInstruction(
-                mnemonic=ins.mnemonic,
-                dep_distance=ins.dep_distance,
-                source_level=ins.source_level,
-                address=ins.address,
-            )
-            for ins in self.body
-        )
+        # Equal slots share one instance, so the per-instance caches
+        # (``analytic_key``, digest text) are filled once per distinct
+        # slot.  The table lives for this call only.
+        interned: dict[tuple, KernelInstruction] = {}
+        slots = []
+        for ins in self.body:
+            key = (ins.definition.mnemonic, ins.dep_distance,
+                   ins.source_level, ins.address)
+            slot = interned.get(key)
+            if slot is None:
+                slot = interned[key] = KernelInstruction(*key)
+            slots.append(slot)
+        instructions = tuple(slots)
         return Kernel(
             name=self.name,
             instructions=instructions,

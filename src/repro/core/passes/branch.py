@@ -50,6 +50,7 @@ class BranchBehavior(Pass):
             instruction.registers = {}
             instruction.immediates = {}
             instruction.dep_distance = None
+            instruction.dep_operand = None
             instruction.address = None
             instruction.source_level = None
             instruction.comment = "planted branch (fall-through)"

@@ -16,6 +16,7 @@ from repro.core.passes.base import Pass, PassContext
 from repro.core.registers import MEMORY_BASE_REGISTER
 from repro.errors import PassError
 from repro.isa.instruction import InstructionDef
+from repro.isa.operand import OperandKind
 
 
 class InstructionDistribution(Pass):
@@ -67,8 +68,22 @@ class InstructionDistribution(Pass):
             weights = self.weights or [1.0] * len(definitions)
             choices = context.rng.choices(definitions, weights, k=len(slots))
 
+        # Keyed by identity: a caller's pool may hold its own definition
+        # under a mnemonic the ISA also defines.
+        plans = {
+            id(definition): self._register_plan(definition)
+            for definition in definitions
+        }
+        take = context.pools.take
+        body = program.body
         for slot, definition in zip(slots, choices):
-            program.body[slot] = self._instantiate(definition, context)
+            body[slot] = IRInstruction(
+                definition=definition,
+                registers={
+                    name: MEMORY_BASE_REGISTER if kind is None else take(kind)
+                    for name, kind in plans[id(definition)]
+                },
+            )
 
     def _exact_mix(
         self,
@@ -92,26 +107,22 @@ class InstructionDistribution(Pass):
         context.rng.shuffle(mix)
         return mix
 
-    def _instantiate(
-        self, definition: InstructionDef, context: PassContext
-    ) -> IRInstruction:
-        """Create an instruction instance with default register operands."""
-        instruction = IRInstruction(definition=definition)
-        memory_names = {op.name for op in definition.memory_operands}
-        for operand in definition.operands:
-            if not operand.is_register:
-                continue
-            if definition.is_memory and operand.name in memory_names:
-                # Address operands: base points at the benchmark's
-                # memory region; the memory pass plans the rest.
-                if operand.name == "RA":
-                    instruction.registers[operand.name] = MEMORY_BASE_REGISTER
-                else:
-                    instruction.registers[operand.name] = context.pools.take(
-                        operand.kind
-                    )
-                continue
-            instruction.registers[operand.name] = context.pools.take(
-                operand.kind
-            )
-        return instruction
+    @staticmethod
+    def _register_plan(
+        definition: InstructionDef,
+    ) -> tuple[tuple[str, OperandKind | None], ...]:
+        """Default register assignment of ``definition``, per operand.
+
+        Each register operand maps to the kind it is allocated from in
+        round-robin order, or to ``None`` for a memory base operand,
+        which points at the benchmark's memory region (the memory pass
+        plans the rest of the address).
+        """
+        has_base = (
+            definition.is_memory and "RA" in definition.memory_operand_names
+        )
+        return tuple(
+            (operand.name,
+             None if has_base and operand.name == "RA" else operand.kind)
+            for operand in definition.register_operands
+        )

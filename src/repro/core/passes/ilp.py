@@ -31,11 +31,15 @@ from __future__ import annotations
 from repro.core.ir import IRInstruction, Program
 from repro.core.passes.base import Pass, PassContext
 from repro.errors import PassError
+from repro.isa.instruction import InstructionDef
 from repro.isa.operand import OperandKind
 
 _MODES = ("none", "chain", "fixed", "random", "mean")
 #: How far around the requested distance to search for a compatible producer.
 _SEARCH_WINDOW = 8
+#: Source operands to link through, one tuple per search pass.
+_SourcePasses = tuple[tuple[tuple[str, OperandKind], ...], ...]
+
 
 class DependencyDistance(Pass):
     """Assign dependency distances and wire registers accordingly."""
@@ -79,16 +83,28 @@ class DependencyDistance(Pass):
         slots = program.workload_slots()
         if not slots:
             raise PassError(f"{program.name}: no instructions to link")
+        body = program.body
 
         if self.mode == "none":
             for index in slots:
-                program.body[index].dep_distance = None
-                program.body[index].dep_operand = None
+                body[index].dep_distance = None
+                body[index].dep_operand = None
             return
 
+        # Live target register of every slot (structural slots never
+        # produce).  Linking rewrites only the consumer's own registers,
+        # so only its entry can change -- through a read-write source.
+        targets = [
+            None if ins.structural else ins.target_register() for ins in body
+        ]
+        sources: dict[int, _SourcePasses] = {}  # by definition identity
         for index in slots:
             wanted = self._wanted_distance(context)
-            self._link(program, index, wanted)
+            definition = body[index].definition
+            passes = sources.get(id(definition))
+            if passes is None:
+                passes = sources[id(definition)] = _source_passes(definition)
+            self._link(body, targets, index, wanted, passes)
 
     def _wanted_distance(self, context: PassContext) -> int:
         if self.mode == "chain":
@@ -108,7 +124,14 @@ class DependencyDistance(Pass):
             return low
         return context.rng.randint(self.min_distance, self.max_distance)
 
-    def _link(self, program: Program, index: int, wanted: int) -> None:
+    @staticmethod
+    def _link(
+        body: list[IRInstruction],
+        targets: list[tuple[str, OperandKind, int] | None],
+        index: int,
+        wanted: int,
+        source_passes: _SourcePasses,
+    ) -> None:
         """Try body distances around ``wanted`` until kinds are compatible.
 
         Distances are expressed in *body* positions (the same space the
@@ -119,30 +142,14 @@ class DependencyDistance(Pass):
         operations keep their planned addressing whenever a data
         dependency can realize the distance.
         """
-        consumer = program.body[index]
-        all_sources = self._dependency_sources(consumer)
-        if not all_sources:
-            consumer.dep_distance = None
-            return
-        address_names = {
-            op.name for op in consumer.definition.memory_operands
-        }
-        data_sources = [
-            source for source in all_sources
-            if source[0] not in address_names
-        ]
-        size = len(program.body)
-        for sources in (data_sources, all_sources):
-            if not sources:
-                continue
+        consumer = body[index]
+        size = len(body)
+        for sources in source_passes:
             for delta in range(_SEARCH_WINDOW + 1):
                 for candidate in (wanted + delta, wanted - delta):
                     if candidate < 1 or candidate > size - 1:
                         continue
-                    producer = program.body[(index - candidate) % size]
-                    if producer.structural:
-                        continue
-                    target = producer.target_register()
+                    target = targets[(index - candidate) % size]
                     if target is None:
                         continue
                     __, kind, number = target
@@ -151,31 +158,34 @@ class DependencyDistance(Pass):
                             consumer.registers[source_name] = number
                             consumer.dep_distance = candidate
                             consumer.dep_operand = source_name
+                            targets[index] = consumer.target_register()
                             return
         consumer.dep_distance = None
         consumer.dep_operand = None
 
-    @staticmethod
-    def _dependency_sources(
-        instruction: IRInstruction,
-    ) -> list[tuple[str, OperandKind]]:
-        """Candidate source operands, preferring data over address inputs.
 
-        For memory instructions, the effective-address operands come
-        last (dependency through the index register is a pointer-chase
-        pattern); for everything else all register sources are data.
-        """
-        address_names = {
-            op.name for op in instruction.definition.memory_operands
-        }
-        data, index_reg, base_reg = [], [], []
-        for name, kind in instruction.source_operands():
-            if kind is OperandKind.SPR:
-                continue
-            if name not in address_names:
-                data.append((name, kind))
-            elif name == "RB":
-                index_reg.append((name, kind))
-            else:
-                base_reg.append((name, kind))
-        return data + index_reg + base_reg
+def _source_passes(definition: InstructionDef) -> _SourcePasses:
+    """Candidate source operands, preferring data over address inputs.
+
+    The first pass offers the data sources alone; the second adds the
+    effective-address operands, index register before base (dependency
+    through them is a pointer-chase pattern).  SPR sources never carry
+    a dependency.  A pass identical to the one before it is dropped: it
+    could not find a producer the earlier pass missed.
+    """
+    address_names = definition.memory_operand_names
+    data, index_reg, base_reg = [], [], []
+    for operand in definition.register_reads:
+        if operand.kind is OperandKind.SPR:
+            continue
+        source = (operand.name, operand.kind)
+        if operand.name not in address_names:
+            data.append(source)
+        elif operand.name == "RB":
+            index_reg.append(source)
+        else:
+            base_reg.append(source)
+    every = tuple(data + index_reg + base_reg)
+    if data and len(data) < len(every):
+        return (tuple(data), every)
+    return (every,) if every else ()

@@ -68,19 +68,25 @@ class MemoryModel(Pass):
         program.metadata["memory_plan"] = plan
 
         fits_dform = 0
+        # Displacement operand name per definition (by identity), or
+        # None for X-form.
+        displacements: dict[int, str | None] = {}
         for instruction, address, level in zip(
             memory_instructions, plan.slots, plan.slot_levels
         ):
             instruction.address = address
             instruction.source_level = level
             offset = address - model.base_address
-            displacement = next(
-                (op for op in instruction.definition.operands
-                 if op.name in ("D", "DS", "DQ")),
-                None,
-            )
+            definition = instruction.definition
+            if id(definition) not in displacements:
+                displacements[id(definition)] = next(
+                    (op.name for op in definition.operands
+                     if op.name in ("D", "DS", "DQ")),
+                    None,
+                )
+            displacement = displacements[id(definition)]
             if displacement is not None:
-                instruction.immediates[displacement.name] = offset
+                instruction.immediates[displacement] = offset
                 if -32768 <= offset <= 32767:
                     fits_dform += 1
         program.metadata["dform_offsets_in_range"] = fits_dform

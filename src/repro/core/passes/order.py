@@ -6,9 +6,9 @@ order differ by up to 17 % in power.  These passes rearrange the body
 without changing its multiset of instructions, which is exactly the
 dimension the max-power search explores.
 
-Order passes clear dependency distances (a reorder invalidates them);
-run any :class:`~repro.core.passes.ilp.DependencyDistance` pass *after*
-ordering.
+Order passes clear dependency distances and operands (a reorder
+invalidates them); run any
+:class:`~repro.core.passes.ilp.DependencyDistance` pass *after* ordering.
 """
 
 from __future__ import annotations
@@ -80,3 +80,4 @@ class SequenceOrder(Pass):
         for index, instruction in zip(slots, instructions):
             program.body[index] = instruction
             instruction.dep_distance = None
+            instruction.dep_operand = None

@@ -10,7 +10,9 @@ memory base).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import cycle
 
 from repro.isa.operand import OperandKind
 
@@ -21,38 +23,48 @@ ADDRESS_SCRATCH_REGISTER = 27
 
 _RESERVED_GPRS = frozenset({0, 1, 2, 13, ADDRESS_SCRATCH_REGISTER, MEMORY_BASE_REGISTER})
 
-_POOL_SIZES = {
-    OperandKind.GPR: 32,
-    OperandKind.FPR: 32,
-    OperandKind.VR: 32,
-    OperandKind.VSR: 64,
-    OperandKind.CR: 8,
-    OperandKind.SPR: 1,
+#: Register numbers available to generated code, per kind name.  Keyed
+#: by ``OperandKind._name_`` (a plain ``str``): ``take`` runs for every
+#: register operand of every slot, and hashing the enum member itself is
+#: a Python-level ``Enum.__hash__`` call.
+_POOLS: dict[str, tuple[int, ...]] = {
+    OperandKind.GPR.name: tuple(
+        n for n in range(32) if n not in _RESERVED_GPRS
+    ),
+    OperandKind.FPR.name: tuple(range(32)),
+    OperandKind.VR.name: tuple(range(32)),
+    OperandKind.VSR.name: tuple(range(64)),
+    OperandKind.CR.name: tuple(range(8)),
+    OperandKind.SPR.name: (0,),
 }
+
+
+def _pool(kind: OperandKind) -> tuple[int, ...]:
+    try:
+        return _POOLS[kind._name_]
+    except KeyError:
+        raise ValueError(f"no register pool for {kind}") from None
 
 
 @dataclass
 class RegisterPools:
-    """Round-robin register allocator over the architected files."""
+    """Round-robin register allocator over the architected files.
 
-    _cursors: dict[OperandKind, int] = field(default_factory=dict)
+    One cursor per kind name; the pools themselves are module constants.
+    """
+
+    _cursors: dict[str, Iterator[int]] = field(default_factory=dict)
 
     def allocatable(self, kind: OperandKind) -> list[int]:
         """Register numbers available to generated code for ``kind``."""
-        size = _POOL_SIZES.get(kind)
-        if size is None:
-            raise ValueError(f"no register pool for {kind}")
-        if kind is OperandKind.GPR:
-            return [n for n in range(size) if n not in _RESERVED_GPRS]
-        return list(range(size))
+        return list(_pool(kind))
 
     def take(self, kind: OperandKind) -> int:
         """Next register in round-robin order for ``kind``."""
-        pool = self.allocatable(kind)
-        cursor = self._cursors.get(kind, 0)
-        register = pool[cursor % len(pool)]
-        self._cursors[kind] = cursor + 1
-        return register
+        cursor = self._cursors.get(kind._name_)
+        if cursor is None:
+            cursor = self._cursors[kind._name_] = cycle(_pool(kind))
+        return next(cursor)
 
     def reset(self) -> None:
         self._cursors.clear()

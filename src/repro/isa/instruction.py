@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.isa.operand import Operand, OperandKind
 
@@ -93,7 +94,7 @@ class InstructionDef:
     def is_store(self) -> bool:
         return self.itype is InstructionType.STORE
 
-    @property
+    @cached_property
     def is_memory(self) -> bool:
         return self.is_load or self.is_store
 
@@ -147,25 +148,37 @@ class InstructionDef:
     def is_prefetch(self) -> bool:
         return "prefetch" in self.flags
 
-    # -- operand helpers ---------------------------------------------------
+    # -- operand views -----------------------------------------------------
+    #
+    # Cached on first use (the definition is immutable): the synthesizer
+    # consults them for every slot of every generated loop body.
 
-    @property
+    @cached_property
+    def register_operands(self) -> tuple[Operand, ...]:
+        """Register operands, in assembly order."""
+        return tuple(op for op in self.operands if op.is_register)
+
+    @cached_property
     def register_reads(self) -> tuple[Operand, ...]:
         """Register operands the instruction reads."""
         return tuple(
-            op for op in self.operands
-            if op.is_register and op.direction.is_read
+            op for op in self.register_operands if op.direction.is_read
         )
 
-    @property
+    @cached_property
     def register_writes(self) -> tuple[Operand, ...]:
         """Register operands the instruction writes."""
         return tuple(
-            op for op in self.operands
-            if op.is_register and op.direction.is_write
+            op for op in self.register_operands if op.direction.is_write
         )
 
-    @property
+    @cached_property
+    def target(self) -> Operand | None:
+        """The primary destination: the first written register operand."""
+        writes = self.register_writes
+        return writes[0] if writes else None
+
+    @cached_property
     def immediates(self) -> tuple[Operand, ...]:
         """Immediate and displacement operands."""
         return tuple(op for op in self.operands if op.is_immediate)
@@ -174,7 +187,7 @@ class InstructionDef:
     def has_immediate(self) -> bool:
         return bool(self.immediates)
 
-    @property
+    @cached_property
     def memory_operands(self) -> tuple[Operand, ...]:
         """Operands participating in effective-address generation.
 
@@ -186,13 +199,16 @@ class InstructionDef:
         names = {"RA", "RB", "D", "DS", "DQ"}
         return tuple(op for op in self.operands if op.name in names)
 
+    @cached_property
+    def memory_operand_names(self) -> frozenset[str]:
+        """Names of :attr:`memory_operands`."""
+        return frozenset(op.name for op in self.memory_operands)
+
     @property
     def target_kind(self) -> OperandKind | None:
         """Register kind of the primary destination, if any."""
-        for op in self.operands:
-            if op.is_register and op.direction.is_write:
-                return op.kind
-        return None
+        target = self.target
+        return target.kind if target is not None else None
 
     def format_line(self) -> str:
         """Render the manual-style format line, e.g. ``addic RT, RA, SI``."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class OperandKind(enum.Enum):
@@ -86,13 +87,17 @@ class Operand:
     direction: OperandDirection
     width: int
 
-    @property
+    # The predicates are computed once per operand: code generation asks
+    # them for every operand of every slot, and each enum-set lookup
+    # costs a Python-level ``Enum.__hash__`` call.
+
+    @cached_property
     def is_register(self) -> bool:
         return self.kind.is_register
 
-    @property
+    @cached_property
     def is_immediate(self) -> bool:
-        return self.kind in (OperandKind.IMM, OperandKind.DISP)
+        return self.kind is OperandKind.IMM or self.kind is OperandKind.DISP
 
     def __str__(self) -> str:
         spec = f"{self.name}:{self.kind.value}"

@@ -91,6 +91,30 @@ class TestDistribution:
         for ins in program.body[:-1]:
             assert set(ins.registers) == {"FRT", "FRA", "FRC", "FRB"}
 
+    def test_custom_definition_sharing_a_mnemonic(self, arch):
+        from dataclasses import replace
+
+        from repro.isa.operand import parse_operand
+
+        isa_add = arch.isa.instruction("add")
+        custom_add = replace(
+            isa_add,
+            operands=tuple(
+                parse_operand(spec) for spec in ("FRT:FPR:W", "FRA:FPR:R")
+            ),
+        )
+        program = fresh(
+            arch,
+            EndlessLoopSkeleton(16),
+            InstructionDistribution([isa_add, custom_add]),
+            DependencyDistance("chain"),
+        )
+        for ins in program.body[:-1]:
+            expected = {op.name for op in ins.definition.register_operands}
+            assert set(ins.registers) == expected
+            if ins.dep_operand is not None:
+                assert ins.dep_operand in expected
+
     def test_requires_skeleton(self, arch):
         with pytest.raises(PassError):
             fresh(arch, InstructionDistribution(["add"]))
@@ -239,6 +263,83 @@ class TestOrderAndBranches:
         assert counts.get("bc") == 10
 
 
+class TestDependencyOperandInvariant:
+    """``dep_operand`` is set exactly when ``dep_distance`` is.
+
+    The emitter skips the address-forming prelude of a memory slot whose
+    dependency runs through ``RA``/``RB``, so a stale operand name left
+    by a pass that cleared only the distance emits loads against an
+    unlinked register.
+    """
+
+    POOL = ["lwzx", "ldx", "add", "lfd"]
+
+    def _linked(self, arch, *after):
+        return fresh(
+            arch,
+            EndlessLoopSkeleton(128),
+            InstructionDistribution(self.POOL),
+            MemoryModel({"L1": 0.5, "L2": 0.5}),
+            DependencyDistance("chain"),
+            *after,
+        )
+
+    def test_chain_links_every_memory_slot(self, arch):
+        program = self._linked(arch)
+        memory = program.memory_instructions()
+        assert len(memory) == 96
+        assert all(ins.dep_operand is not None for ins in memory)
+
+    def test_reorder_after_ilp_restores_xform_prelude(self, arch):
+        from repro.core.emit.formatting import format_instruction
+        from repro.core.registers import ADDRESS_SCRATCH_REGISTER
+
+        program = self._linked(arch, SequenceOrder("shuffle"))
+        assert all(
+            ins.dep_distance is None and ins.dep_operand is None
+            for ins in program.body
+        )
+        xform = [
+            ins for ins in program.memory_instructions()
+            if ins.definition.is_indexed
+        ]
+        assert len(xform) == 64
+        scratch = f"r{ADDRESS_SCRATCH_REGISTER}"
+        for ins in xform:
+            lines = format_instruction(ins, program)
+            assert len(lines) >= 2, lines  # li, or lis/ori, then the load
+            assert lines[-1].endswith(f", {scratch}"), lines
+        ValidateProgram().apply(program, context(arch))
+
+    def test_branch_plant_after_ilp_clears_operand(self, arch):
+        program = self._linked(arch, BranchBehavior(0.5))
+        planted = [ins for ins in program.body if ins.mnemonic == "bc"]
+        assert planted
+        assert all(ins.dep_operand is None for ins in planted)
+
+    def test_sourceless_consumer_clears_stale_operand(self, arch):
+        program = fresh(
+            arch, EndlessLoopSkeleton(8), InstructionDistribution(["mfctr"])
+        )
+        slots = [program.body[index] for index in program.workload_slots()]
+        for ins in slots:
+            ins.dep_operand = "RB"
+        DependencyDistance("chain").apply(program, context(arch))
+        assert all(ins.dep_operand is None for ins in slots)
+
+    @pytest.mark.parametrize(
+        "distance, operand", [(None, "RB"), (1, None)]
+    )
+    def test_validation_rejects_half_set_link(self, arch, distance, operand):
+        program = fresh(
+            arch, EndlessLoopSkeleton(8), InstructionDistribution(["add"])
+        )
+        program.body[3].dep_distance = distance
+        program.body[3].dep_operand = operand
+        with pytest.raises(PassError, match="dependency operand"):
+            ValidateProgram().apply(program, context(arch))
+
+
 class TestSynthesizer:
     def test_figure2_pipeline(self, arch):
         synth = Synthesizer(arch, seed=1)
@@ -253,6 +354,34 @@ class TestSynthesizer:
         # Different synthesis runs yield different programs.
         kernels = [p.to_kernel() for p in programs]
         assert len({k.digest() for k in kernels}) == 3
+
+    def test_kernel_interns_equal_slots(self, arch):
+        from repro.sim.kernel import Kernel, KernelInstruction
+
+        program = fresh(
+            arch,
+            EndlessLoopSkeleton(64),
+            InstructionDistribution(["lwz"]),
+            MemoryModel({"L1": 1.0}),
+            DependencyDistance("none"),
+        )
+        program.body[5].address = program.body[4].address
+        kernel = program.to_kernel()
+        workload = kernel.instructions[:-1]
+        assert workload[5] is workload[4]
+        assert len({id(ins) for ins in workload}) == len(
+            {(ins.mnemonic, ins.address) for ins in workload}
+        )
+        unshared = tuple(
+            KernelInstruction(
+                ins.mnemonic, ins.dep_distance, ins.source_level, ins.address
+            )
+            for ins in kernel.instructions
+        )
+        rebuilt = Kernel(
+            kernel.name, unshared, kernel.operand_entropy, kernel.period
+        )
+        assert rebuilt.digest() == kernel.digest()
 
     def test_no_passes_rejected(self, arch):
         with pytest.raises(SynthesisError):

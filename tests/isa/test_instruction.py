@@ -98,5 +98,40 @@ class TestOperandViews:
                    operands=("RS:GPR:R", "RA:GPR:R", "D:DISP16:R"))
         assert ins.target_kind is None
 
+    def test_register_operands_skip_immediates(self):
+        ins = make("mtctr", InstructionType.CR,
+                   operands=("CTR:SPR:W", "RS:GPR:R"))
+        assert [op.name for op in ins.register_operands] == ["CTR", "RS"]
+        ins = make("addi", operands=("RT:GPR:W", "RA:GPR:R", "SI:IMM16:R"))
+        assert [op.name for op in ins.register_operands] == ["RT", "RA"]
+
+    def test_target_is_first_written_register(self):
+        ins = make("lwzu", InstructionType.LOAD,
+                   operands=("RT:GPR:W", "RA:GPR:RW", "D:DISP16:R"),
+                   flags=("update",))
+        assert ins.target.name == "RT"
+        assert [op.name for op in ins.register_writes] == ["RT", "RA"]
+        assert make("nop", InstructionType.NOP, 0, ()).target is None
+
+    def test_memory_operand_names(self):
+        ins = make("lwzx", InstructionType.LOAD,
+                   operands=("RT:GPR:W", "RA:GPR:R", "RB:GPR:R"),
+                   flags=("indexed",))
+        assert ins.memory_operand_names == frozenset({"RA", "RB"})
+        assert make().memory_operand_names == frozenset()
+
+    def test_views_are_computed_once(self):
+        ins = make()
+        assert ins.register_reads is ins.register_reads
+        assert ins.memory_operands is ins.memory_operands
+        assert ins.target is ins.register_writes[0]
+
+    def test_cached_views_leave_identity_alone(self):
+        first, second = make(), make()
+        assert first.target is not None  # fills one side's view caches
+        assert first == second
+        assert hash(first) == hash(second)
+        assert repr(first) == repr(second)
+
     def test_format_line(self):
         assert make().format_line() == "add RT, RA, RB"
