@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.registers import MEMORY_BASE_REGISTER
 from repro.errors import SynthesisError
 from repro.isa.instruction import InstructionDef
 from repro.isa.operand import OperandKind
@@ -55,6 +56,19 @@ class IRInstruction:
     @property
     def mnemonic(self) -> str:
         return self.definition.mnemonic
+
+    def clear_dependency(self) -> None:
+        """Drop the dependency link.
+
+        A pointer-chase link through a memory base operand rewrote
+        ``RA`` to the producer's register; the base goes back to the
+        memory-region register the distribution pass planned, so an
+        unlinked load addresses its planned region again.
+        """
+        if self.dep_operand == "RA" and self.definition.is_memory:
+            self.registers["RA"] = MEMORY_BASE_REGISTER
+        self.dep_distance = None
+        self.dep_operand = None
 
     def target_register(self) -> tuple[str, OperandKind, int] | None:
         """(operand name, kind, number) of the primary written register."""

@@ -46,11 +46,10 @@ class BranchBehavior(Pass):
         count = round(self.fraction * len(slots))
         for index in context.rng.sample(slots, count):
             instruction = program.body[index]
+            instruction.clear_dependency()
             instruction.definition = definition
             instruction.registers = {}
             instruction.immediates = {}
-            instruction.dep_distance = None
-            instruction.dep_operand = None
             instruction.address = None
             instruction.source_level = None
             instruction.comment = "planted branch (fall-through)"

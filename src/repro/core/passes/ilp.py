@@ -84,11 +84,11 @@ class DependencyDistance(Pass):
         if not slots:
             raise PassError(f"{program.name}: no instructions to link")
         body = program.body
-
+        # Every slot is (re)linked from scratch; an earlier link's
+        # rewritten base register must not survive into this one.
+        for index in slots:
+            body[index].clear_dependency()
         if self.mode == "none":
-            for index in slots:
-                body[index].dep_distance = None
-                body[index].dep_operand = None
             return
 
         # Live target register of every slot (structural slots never
@@ -160,8 +160,6 @@ class DependencyDistance(Pass):
                             consumer.dep_operand = source_name
                             targets[index] = consumer.target_register()
                             return
-        consumer.dep_distance = None
-        consumer.dep_operand = None
 
 
 def _source_passes(definition: InstructionDef) -> _SourcePasses:

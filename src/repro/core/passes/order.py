@@ -6,8 +6,8 @@ order differ by up to 17 % in power.  These passes rearrange the body
 without changing its multiset of instructions, which is exactly the
 dimension the max-power search explores.
 
-Order passes clear dependency distances and operands (a reorder
-invalidates them); run any
+Order passes clear dependency links (a reorder invalidates them),
+restoring any pointer-chased memory base register; run any
 :class:`~repro.core.passes.ilp.DependencyDistance` pass *after* ordering.
 """
 
@@ -79,5 +79,4 @@ class SequenceOrder(Pass):
 
         for index, instruction in zip(slots, instructions):
             program.body[index] = instruction
-            instruction.dep_distance = None
-            instruction.dep_operand = None
+            instruction.clear_dependency()

@@ -36,14 +36,8 @@ from repro.exec.plan import (
 )
 from repro.exec.report import CellFailure, ExecutionReport
 from repro.exec.serialize import (
-    WIRE_V1,
-    WIRE_V2,
-    WIRE_VERSIONS,
     WireInternCache,
-    cell_from_dict,
-    cell_to_dict,
     plan_from_dict,
-    plan_to_dict,
     plan_to_dict_v2,
     wire_digest,
 )
@@ -67,19 +61,13 @@ __all__ = [
     "ServiceClient",
     "ShardedExecutor",
     "StoreReport",
-    "WIRE_V1",
-    "WIRE_V2",
-    "WIRE_VERSIONS",
     "WireInternCache",
     "build_server",
-    "cell_from_dict",
-    "cell_to_dict",
     "default_executor",
     "gc_journals",
     "parse_faults",
     "parse_shard_endpoints",
     "plan_from_dict",
-    "plan_to_dict",
     "plan_to_dict_v2",
     "run_id",
     "sweep_configs",

@@ -38,47 +38,21 @@ import http.client
 import json
 import logging
 import os
-import time
 from collections.abc import Iterator
 from urllib.parse import urlsplit
 
 from repro.errors import ServiceError
+from repro.exec.executors import backoff_sleep
 from repro.exec.plan import ExperimentPlan
 from repro.exec.report import CellFailure, ExecutionReport
-from repro.exec.serialize import (
-    WIRE_V1,
-    WIRE_V2,
-    WIRE_VERSIONS,
-    plan_to_dict,
-    plan_to_dict_v2,
-)
+from repro.exec.serialize import plan_to_dict_v2
 from repro.measure.measurement import Measurement
 
 logger = logging.getLogger("repro.exec.client")
 
 
-def _wire_from_env() -> int | None:
-    """The ``REPRO_WIRE`` override: 1 or 2 forces a version, anything
-    else (unset, empty, ``auto``) negotiates."""
-    raw = os.environ.get("REPRO_WIRE", "").strip()
-    if raw in ("1", "2"):
-        return int(raw)
-    return None
-
-#: Deterministic client backoff: attempt N sleeps min(cap, base * 2^N)
-#: (or the server's ``Retry-After`` if longer).  No jitter on purpose.
-_BACKOFF_BASE_S = 0.05
-_BACKOFF_CAP_S = 2.0
-
 #: Default attempts-after-the-first for transient failures.
 DEFAULT_CLIENT_RETRIES = 3
-
-
-def _retry_sleep(attempt: int, retry_after: float | None = None) -> None:
-    delay = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2.0**attempt))
-    if retry_after is not None:
-        delay = max(delay, min(_BACKOFF_CAP_S, retry_after))
-    time.sleep(delay)
 
 
 def _retry_after_of(response: http.client.HTTPResponse) -> float | None:
@@ -104,13 +78,6 @@ class ServiceClient:
     set.  ``retries`` bounds the transparent re-attempts of idempotent
     GETs through connection resets; plan submissions stream, so their
     retry policy lives in :class:`RemoteExecutor`.
-
-    ``wire`` forces the plan body format (1 inline cells, 2 digest
-    pools; default the ``REPRO_WIRE`` environment variable).  Left
-    unset, the first submission negotiates: the client reads the
-    ``wire`` list the server advertises on ``/health``/``/probe`` and
-    sends the newest version both sides speak -- a pre-v2 server
-    (which never advertised) gets byte-identical v1 bodies.
     """
 
     def __init__(
@@ -119,7 +86,6 @@ class ServiceClient:
         timeout: float | None = None,
         token: str | None = None,
         retries: int = DEFAULT_CLIENT_RETRIES,
-        wire: int | None = None,
     ) -> None:
         parts = urlsplit(url if "//" in url else f"http://{url}")
         if parts.scheme not in ("", "http"):
@@ -135,17 +101,6 @@ class ServiceClient:
         ) or None
         self.retries = max(0, retries)
         self.url = f"http://{self.host}:{self.port}"
-        if wire is None:
-            wire = _wire_from_env()
-        if wire is not None and wire not in WIRE_VERSIONS:
-            raise ServiceError(
-                f"unknown wire version {wire!r} (supported: "
-                f"{', '.join(str(v) for v in WIRE_VERSIONS)})"
-            )
-        self.wire = wire
-        #: Wire version learned from the server's advertisement, or
-        #: ``None`` before any reply carried one.
-        self._negotiated: int | None = None
 
     def _connect(self) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
@@ -196,21 +151,7 @@ class ServiceClient:
                 status=response.status,
                 retry_after=_retry_after_of(response),
             )
-        self._note_wire(document)
         return document
-
-    def _note_wire(self, document: dict) -> None:
-        """Record the wire versions a server reply advertises.
-
-        Replies without the key (pre-v2 servers, non-handshake
-        endpoints) leave the negotiated state alone; /health and
-        /probe replies pin the newest mutually spoken version.
-        """
-        advertised = document.get("wire")
-        if not isinstance(advertised, list):
-            return
-        spoken = [v for v in advertised if v in WIRE_VERSIONS]
-        self._negotiated = max(spoken) if spoken else WIRE_V1
 
     def _json(self, method: str, path: str, body: dict | None = None) -> dict:
         """One JSON round trip; idempotent GETs retry transient failures.
@@ -232,7 +173,7 @@ class ServiceClient:
                     "(attempt %d/%d): %s",
                     method, path, attempt + 1, attempts, exc,
                 )
-                _retry_sleep(attempt, exc.retry_after)
+                backoff_sleep(attempt, exc.retry_after)
         raise AssertionError("unreachable")  # pragma: no cover
 
     @staticmethod
@@ -294,34 +235,6 @@ class ServiceClient:
 
     # -- endpoints -------------------------------------------------------------
 
-    @property
-    def wire_version(self) -> int | None:
-        """The effective plan-body version: forced, or as negotiated so
-        far (``None`` until a server reply has advertised one)."""
-        return self.wire if self.wire is not None else self._negotiated
-
-    def negotiated_wire(self) -> int:
-        """The wire version to submit with, negotiating if needed.
-
-        A forced ``wire`` short-circuits.  Otherwise the first call
-        asks ``/health`` (whose reply advertises the server's versions)
-        and pins the newest both sides speak; a server that advertises
-        nothing -- any pre-v2 build -- pins v1.  An unreachable server
-        falls back to v1 *without* pinning, so a later attempt (the
-        submission retry path re-enters here) re-negotiates once the
-        server is back.
-        """
-        if self.wire is not None:
-            return self.wire
-        if self._negotiated is None:
-            try:
-                self.health()
-            except ServiceError:
-                return WIRE_V1
-            if self._negotiated is None:
-                self._negotiated = WIRE_V1
-        return self._negotiated
-
     def health(self) -> dict:
         return self._json("GET", "/health")
 
@@ -363,16 +276,8 @@ class ServiceClient:
         The first line is the run header, then one line per unique
         cell ordered by completion, then the trailer
         (``{"complete": true, ...}``).
-
-        The body format follows :meth:`negotiated_wire`: v2 (pooled,
-        digest-referenced) to servers that advertise it, v1 (inline
-        cells, byte-identical to pre-v2 clients) otherwise.  Results
-        are bit-identical either way -- only the request bytes differ.
         """
-        if self.negotiated_wire() == WIRE_V2:
-            request = plan_to_dict_v2(plan)
-        else:
-            request = plan_to_dict(plan)
+        request = plan_to_dict_v2(plan)
         request["arch"] = arch
         request["seed"] = seed
         if vector is not None:
@@ -409,12 +314,9 @@ class RemoteExecutor:
         seed: int = 0,
         vector: bool | None = None,
         retries: int = DEFAULT_CLIENT_RETRIES,
-        wire: int | None = None,
     ) -> None:
         self.client = (
-            client
-            if isinstance(client, ServiceClient)
-            else ServiceClient(client, wire=wire)
+            client if isinstance(client, ServiceClient) else ServiceClient(client)
         )
         self.arch = arch
         self.seed = seed
@@ -478,7 +380,7 @@ class RemoteExecutor:
                     "(attempt %d/%d): %s",
                     self.client.url, attempt + 1, attempts, exc,
                 )
-                _retry_sleep(attempt, exc.retry_after)
+                backoff_sleep(attempt, exc.retry_after)
         missing = sum(1 for entry in unique if entry is None)
         if missing and len(failures) < missing:
             raise ServiceError(

@@ -81,8 +81,7 @@ DEFAULT_RETRIES = 2
 DEFAULT_TIMEOUT_S = 300.0
 
 #: Deterministic exponential backoff: base * 2**attempt, capped.  No
-#: jitter -- retried runs must stay reproducible, and nothing here
-#: contends on a shared remote resource that jitter would protect.
+#: jitter -- retried runs must stay reproducible.
 _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 2.0
 #: Watchdog poll cadence while chunks are in flight.
@@ -103,8 +102,17 @@ def _env_float(name: str, default: float) -> float:
         return default
 
 
-def _backoff_sleep(attempt: int) -> None:
-    time.sleep(min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2.0 ** attempt)))
+def backoff_sleep(attempt: int, retry_after: float | None = None) -> None:
+    """Sleep before retry ``attempt`` (0-based) of a transient failure.
+
+    The one retry schedule of the engine: local chunk retries and the
+    service client's resubmissions share it.  A server's
+    ``Retry-After`` lengthens the delay, never beyond the cap.
+    """
+    delay = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2.0**attempt))
+    if retry_after is not None:
+        delay = max(delay, min(_BACKOFF_CAP_S, retry_after))
+    time.sleep(delay)
 
 
 def _group_cells(cells: Sequence[PlanCell]) -> dict[tuple, list[int]]:
@@ -209,7 +217,7 @@ def _degraded_cells(
                     )
                     break
                 builder.count("retries")
-                _backoff_sleep(attempt)
+                backoff_sleep(attempt)
                 attempt += 1
         if measurement is not None and persist is not None:
             persist([cell], [measurement])
@@ -483,7 +491,7 @@ class _ExecutorBase:
                         break
                     if builder is not None:
                         builder.count("store_put_retries")
-                    _backoff_sleep(attempt)
+                    backoff_sleep(attempt)
                     attempt += 1
         if journal is not None and landed:
             journal.mark_done(landed)
@@ -912,7 +920,7 @@ class ParallelExecutor(_ExecutorBase):
                         exc,
                     )
                     if note_failure(number):
-                        _backoff_sleep(attempts[number] - 1)
+                        backoff_sleep(attempts[number] - 1)
                         submit(number)
                 else:
                     if persist is not None:
@@ -971,7 +979,7 @@ class ParallelExecutor(_ExecutorBase):
             pool = self._ensure_pool()
             retryable = [number for number in stale if note_failure(number)]
             if retryable:
-                _backoff_sleep(max(attempts[number] for number in retryable) - 1)
+                backoff_sleep(max(attempts[number] for number in retryable) - 1)
                 for number in retryable:
                     submit(number)
         if degraded:

@@ -100,14 +100,7 @@ from repro.exec.executors import ParallelExecutor, SerialExecutor
 from repro.exec.journal import RunJournal, audit_journals, gc_journals, run_id
 from repro.exec.plan import ExperimentPlan
 from repro.exec.registry import RunRegistry, plan_digest
-from repro.exec.serialize import (
-    DEFAULT_INTERN_CAPACITY,
-    PLAN_WIRE_V2,
-    WIRE_V1,
-    WIRE_VERSIONS,
-    WireInternCache,
-    plan_from_dict,
-)
+from repro.exec.serialize import WireInternCache, plan_from_dict
 from repro.exec.store import ResultStore
 from repro.measure.measurement import Measurement
 from repro.sim.machine import Machine, _vector_enabled_by_default
@@ -224,8 +217,6 @@ class MeasurementService:
         max_requests: int | None = None,
         write_deadline: float = DEFAULT_WRITE_DEADLINE_S,
         retry_after: float = DEFAULT_RETRY_AFTER_S,
-        intern_capacity: int = DEFAULT_INTERN_CAPACITY,
-        wire_v2: bool = True,
     ) -> None:
         self.store = (
             ResultStore(store)
@@ -242,17 +233,8 @@ class MeasurementService:
         self.max_requests = max_requests
         self.write_deadline = write_deadline
         self.retry_after = retry_after
-        #: Whether v2 (digest-pooled) plan bodies are accepted and
-        #: advertised.  ``False`` makes this process behave exactly
-        #: like a pre-v2 server -- the knob the mixed-version tests
-        #: and ``--wire-v1`` migration escape hatch rely on.
-        self.wire_v2 = wire_v2
         #: Cross-request intern cache: wire digest -> rebuilt object.
-        #: Serves both wire versions (v1 bodies intern under digests
-        #: the server computes itself); 0 disables.
-        self.intern = (
-            WireInternCache(intern_capacity) if intern_capacity > 0 else None
-        )
+        self.intern = WireInternCache()
         self._engines: dict[tuple, _Engine] = {}
         #: Serializes executor.execute calls: the resident machines'
         #: caches and the parallel worker pool are single-writer.
@@ -280,7 +262,6 @@ class MeasurementService:
             "drain_rejected": 0,
             "auth_failures": 0,
             "broken_streams": 0,
-            "wire_v2_requests": 0,
         }
         #: Durable run listing; replayed from ``<store>/registry.jsonl``
         #: and reconciled against journals: nothing can be ``running``
@@ -295,12 +276,6 @@ class MeasurementService:
                     "the previous server process",
                     recovered,
                 )
-
-    @property
-    def wire_versions(self) -> list[int]:
-        """Wire versions this server accepts, newest last (advertised
-        on ``/health`` and ``/probe`` for client negotiation)."""
-        return list(WIRE_VERSIONS) if self.wire_v2 else [WIRE_V1]
 
     # -- counters --------------------------------------------------------------
 
@@ -471,13 +446,6 @@ class MeasurementService:
         except (TypeError, ValueError):
             raise ServiceError("plan request carries a non-integer seed")
         vector = request.get("vector")
-        if request.get("wire") == PLAN_WIRE_V2:
-            if not self.wire_v2:
-                raise ServiceError(
-                    "this server does not accept wire format v2 plan "
-                    "bodies; resubmit in v1 (inline cells)"
-                )
-            self._count("wire_v2_requests")
         try:
             plan = plan_from_dict(request, intern=self.intern)
             engine = self._engine(arch_name, seed, vector)
@@ -816,8 +784,7 @@ class MeasurementService:
             },
             "store": None,
             "engines": [],
-            "wire": self.wire_versions,
-            "intern": self.intern.stats() if self.intern is not None else None,
+            "intern": self.intern.stats(),
         }
         if self.store is not None:
             payload["store"] = {
@@ -877,7 +844,6 @@ class MeasurementService:
             "ok": arch_ok and all(class_ok.values()),
             "arch_ok": arch_ok,
             "classes": class_ok,
-            "wire": self.wire_versions,
         }
 
     def runs_listing(self) -> dict:
@@ -1064,11 +1030,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     "ok": True,
                     "service": FORMAT,
                     "draining": self.service.draining,
-                    # Wire-version negotiation: clients read this (or
-                    # the same key on /probe) and send the newest plan
-                    # body format both sides speak.  Pre-v2 servers
-                    # never sent the key; clients treat absence as [1].
-                    "wire": self.service.wire_versions,
                 },
             )
             return

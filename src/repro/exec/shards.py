@@ -247,22 +247,17 @@ class ShardedExecutor(_ExecutorBase):
         request_timeout: float | None = None,
         breaker_threshold: int = _BREAKER_THRESHOLD,
         breaker_cooldown: float = _BREAKER_COOLDOWN_S,
-        wire: int | None = None,
     ) -> None:
         super().__init__(machine, store, retries=retries, timeout=timeout)
         if isinstance(endpoints, str):
             endpoints = parse_shard_endpoints(endpoints)
         self.local = bool(local)
         arch_name = machine.arch.name
-        # Each replica negotiates its plan-body wire version
-        # independently (the digest probes every routing decision
-        # already makes double as the handshake), so a mixed fleet of
-        # v1 and v2 servers serves one campaign bit-identically.
         self._shards = [
             _RemoteShard(
                 endpoint,
                 RemoteExecutor(
-                    ServiceClient(endpoint, timeout=request_timeout, wire=wire),
+                    ServiceClient(endpoint, timeout=request_timeout),
                     arch=arch_name,
                     seed=machine.seed,
                     vector=machine.vector_enabled,
@@ -494,7 +489,6 @@ class ShardedExecutor(_ExecutorBase):
             {
                 "endpoint": shard.endpoint,
                 "transport_retries": shard.executor.transport_retries,
-                "wire": shard.executor.client.wire_version,
                 **shard.breaker.to_dict(),
             }
             for shard in self._shards

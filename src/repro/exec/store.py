@@ -39,10 +39,9 @@ touching a shard scans it once, later lookups seek straight to the
 line (verifying the key, so an externally rewritten shard is a miss,
 never a wrong entry).  A miss re-checks whether another process has
 grown the shard since it was scanned, so concurrent campaigns sharing
-one store see each other's results.  Stores written by the pre-shard
-layout (one ``<xx>/<key>.json`` file per cell) are still readable --
-legacy entries are found through a per-file fallback -- so existing
-warm stores keep serving.
+one store see each other's results.  Files of the older per-cell
+layout (``<xx>/<key>.json``) are not read: their cells are misses and
+re-measure to the same bytes.
 
 The offset index itself is *persistent*: every shard carries a sidecar
 ``shards/<xx>.idx`` -- a header line, ``[key, offset, length]`` entry
@@ -266,7 +265,6 @@ class StoreReport:
     keys: int = 0
     checksummed: int = 0
     legacy_lines: int = 0
-    legacy_files: int = 0
     corrupt_lines: int = 0
     checksum_mismatches: int = 0
     torn_tails: int = 0
@@ -289,8 +287,7 @@ class StoreReport:
         text = (
             f"{self.shards} shard(s), {self.records} record(s), "
             f"{self.keys} key(s): {self.checksummed} checksummed, "
-            f"{self.legacy_lines} legacy line(s), "
-            f"{self.legacy_files} legacy file(s)"
+            f"{self.legacy_lines} legacy line(s)"
         )
         if not self.ok:
             text += (
@@ -634,32 +631,6 @@ class ResultStore:
         handle.seek(offset)
         return handle.read(length)
 
-    # -- legacy per-cell-file layout -------------------------------------------
-
-    def _legacy_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def _legacy_get(self, key: str) -> Measurement | None:
-        path = self._legacy_path(key)
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("format") != FORMAT:
-                raise ValueError(
-                    f"unknown store format {payload.get('format')!r}"
-                )
-            return Measurement.from_dict(payload["measurement"])
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self._count_io_error(path, exc)
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
-            self.corrupt_records += 1
-            logger.warning(
-                "discarding unreadable store entry %s: %s", path, exc
-            )
-            return None
-
     # -- public API -------------------------------------------------------------
 
     def get(self, key: str) -> Measurement | None:
@@ -682,10 +653,6 @@ class ResultStore:
             self._refresh(shard)
             location = shard.offsets.get(key)
         if location is None:
-            legacy = self._legacy_get(key)
-            if legacy is not None:
-                self.hits += 1
-                return legacy
             self.misses += 1
             return None
         try:
@@ -976,7 +943,6 @@ class ResultStore:
                     f"{index_path.name}: sidecar covers {covered} of "
                     f"{stat.st_size} bytes (will rebuild on next read)"
                 )
-        report.legacy_files = sum(1 for _ in self.root.glob("??/*.json"))
         report.keys = len(keys)
         return report
 
@@ -1050,7 +1016,6 @@ class ResultStore:
                 stale = self._shards.pop(path.stem, None)
                 if stale is not None:
                     stale.invalidate()
-        report.legacy_files = sum(1 for _ in self.root.glob("??/*.json"))
         report.keys = len(keys)
         return report
 
@@ -1061,26 +1026,24 @@ class ResultStore:
             shard = self._shard(key)
             if key not in shard.offsets:
                 self._refresh(shard)
-            return key in shard.offsets or self._legacy_path(key).exists()
+            return key in shard.offsets
 
     def _all_keys(self) -> set[str]:
         with self._lock:
             for path in self.shard_dir.glob("??.jsonl"):
                 shard = self._shard(path.stem + "00")
                 self._refresh(shard)
-            keys = {
+            return {
                 key
                 for shard in self._shards.values()
                 for key in shard.offsets
             }
-            keys.update(path.stem for path in self.root.glob("??/*.json"))
-            return keys
 
     def __len__(self) -> int:
         return len(self._all_keys())
 
     def keys(self) -> list[str]:
-        """All stored cell keys (sharded and legacy layouts)."""
+        """All stored cell keys."""
         return sorted(self._all_keys())
 
     def __repr__(self) -> str:

@@ -311,6 +311,42 @@ class TestDependencyOperandInvariant:
             assert lines[-1].endswith(f", {scratch}"), lines
         ValidateProgram().apply(program, context(arch))
 
+    #: Kernel digests of the pipelines below, recorded before unlinking
+    #: restored base registers: kernels do not key on registers.
+    UNLINKED_DIGESTS = {
+        "shuffle": 6229666344300901083,
+        "none": 15559456639551690739,
+    }
+
+    @pytest.mark.parametrize("unlink", ["shuffle", "none"])
+    def test_unlinking_restores_planned_dform_base(self, arch, unlink):
+        from repro.core.emit.formatting import format_instruction
+        from repro.core.registers import (
+            ADDRESS_SCRATCH_REGISTER,
+            MEMORY_BASE_REGISTER,
+        )
+
+        after = (
+            SequenceOrder("shuffle") if unlink == "shuffle"
+            else DependencyDistance("none")
+        )
+        program = self._linked(arch, after)
+        dform = [
+            ins for ins in program.memory_instructions()
+            if not ins.definition.is_indexed
+        ]
+        assert len(dform) == 32
+        base = f"r{MEMORY_BASE_REGISTER}"
+        for ins in dform:
+            lines = format_instruction(ins, program)
+            if len(lines) == 1:
+                assert lines[0].endswith(f"({base})"), lines
+            else:
+                assert lines[0].startswith(
+                    f"addis r{ADDRESS_SCRATCH_REGISTER}, {base}, "
+                ), lines
+        assert program.to_kernel().digest() == self.UNLINKED_DIGESTS[unlink]
+
     def test_branch_plant_after_ilp_clears_operand(self, arch):
         program = self._linked(arch, BranchBehavior(0.5))
         planted = [ins for ins in program.body if ins.mnemonic == "bc"]

@@ -37,6 +37,7 @@ from repro.exec import (
     build_server,
 )
 from repro.exec import faults
+from repro.exec.executors import backoff_sleep
 from repro.exec.faults import FaultPlan
 from repro.exec.journal import RunJournal, run_id
 from repro.exec.registry import plan_digest
@@ -159,9 +160,9 @@ class TestRunRegistry:
 
 
 def plan_request(plan, **extra):
-    from repro.exec.serialize import plan_to_dict
+    from repro.exec.serialize import plan_to_dict_v2
 
-    request = plan_to_dict(plan)
+    request = plan_to_dict_v2(plan)
     request.update(extra)
     return request
 
@@ -332,7 +333,7 @@ class TestClientRetries:
             return {"ok": True}
 
         monkeypatch.setattr(client, "_json_once", flaky)
-        monkeypatch.setattr("repro.exec.client.time.sleep", lambda s: None)
+        monkeypatch.setattr("repro.exec.executors.time.sleep", lambda s: None)
         assert client.health() == {"ok": True}
         assert calls["n"] == 3
 
@@ -347,7 +348,7 @@ class TestClientRetries:
             raise ServiceError("boom", status=503)
 
         monkeypatch.setattr(client, "_json_once", always_down)
-        monkeypatch.setattr("repro.exec.client.time.sleep", lambda s: None)
+        monkeypatch.setattr("repro.exec.executors.time.sleep", lambda s: None)
         with pytest.raises(ServiceError):
             client.probe("POWER7", 0)
         assert calls["n"] == 1  # POST: no transparent retry
@@ -368,6 +369,50 @@ class TestClientRetries:
         with pytest.raises(ServiceError):
             client.runs()
         assert calls["n"] == 1
+
+
+class TestBackoffSchedule:
+    """One deterministic retry schedule for local chunk retries and
+    service resubmissions: 0.05 s doubling per attempt, capped at 2 s,
+    lengthened (never past the cap) by a server's ``Retry-After``."""
+
+    @pytest.fixture()
+    def slept(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr("repro.exec.executors.time.sleep", delays.append)
+        return delays
+
+    @pytest.mark.parametrize(
+        "retry_after, expected",
+        [
+            (None, [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]),
+            (0.3, [0.3, 0.3, 0.3, 0.4, 0.8, 1.6, 2.0]),
+            (10.0, [2.0] * 7),
+        ],
+    )
+    def test_delays_for_attempts_0_to_6(self, slept, retry_after, expected):
+        for attempt in range(7):
+            backoff_sleep(attempt, retry_after)
+        assert slept == expected
+
+    def test_remote_resubmissions_follow_the_schedule(
+        self, slept, monkeypatch, small_kernel_factory
+    ):
+        client = ServiceClient("http://127.0.0.1:1")
+
+        def busy(*args, **kwargs):
+            raise ServiceError("busy", status=429, retry_after=0.3)
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(client, "submit", busy)
+        plan = ExperimentPlan.cross(
+            [small_kernel_factory("add", count=24)],
+            [MachineConfig(1, 1)],
+            duration=_DURATION,
+        )
+        with pytest.raises(ServiceError, match="busy"):
+            RemoteExecutor(client, retries=6).execute(plan)
+        assert slept == [0.3, 0.3, 0.3, 0.4, 0.8, 1.6]
 
 
 # -- circuit breakers ----------------------------------------------------------

@@ -217,17 +217,18 @@ class TestResultStore:
         shard.write_bytes(full)
         assert reader.get("ab" * 16) == measurement
 
-    def test_legacy_per_cell_files_still_served(
+    def test_per_cell_layout_files_are_misses(
         self, machine, small_kernel_factory, tmp_path
     ):
-        """Stores written by the pre-shard layout stay warm."""
+        """A file of the old ``<xx>/<key>.json`` layout is not read:
+        its cell is a miss and re-measures to the same bytes."""
         store = ResultStore(tmp_path)
         measurement = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
-        legacy = tmp_path / "ab" / ("ab" * 16 + ".json")
-        legacy.parent.mkdir(parents=True)
-        legacy.write_text(
+        old = tmp_path / "ab" / ("ab" * 16 + ".json")
+        old.parent.mkdir(parents=True)
+        old.write_text(
             json.dumps(
                 {
                     "format": "repro-result-v1",
@@ -236,9 +237,9 @@ class TestResultStore:
                 }
             )
         )
-        assert store.get("ab" * 16) == measurement
-        assert "ab" * 16 in store
-        assert len(store) == 1 and store.keys() == ["ab" * 16]
+        assert store.get("ab" * 16) is None
+        assert "ab" * 16 not in store
+        assert len(store) == 0 and store.keys() == []
 
 
 def _forbid_measurement(machine):
