@@ -25,8 +25,7 @@ The headline numbers (recorded in ``BENCH_results.json``):
 * two-replica shard scheduler scaling: the same plan through
   :class:`~repro.exec.shards.ShardedExecutor` against one and two
   ``repro serve`` subprocesses, asserted bit-identical to serial and
-  (on multi-core hosts) >= 1.7x faster with the second replica;
-* parallel-executor wall time on the same plan, reported for context.
+  (on multi-core hosts) >= 1.7x faster with the second replica.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import time
 from benchmarks.conftest import LOOP_SIZE, record_result
 from repro.exec import (
     ExperimentPlan,
-    ParallelExecutor,
     PlanCell,
     ResultStore,
     SerialExecutor,
@@ -300,24 +298,6 @@ def test_run_registry_overhead(tmp_path):
     )
     assert per_record_us < 5000  # 5 ms/record is already pathological
     assert replay_elapsed < 2.0
-
-
-def test_parallel_executor_wall_time(arch):
-    plan = _plan(arch)
-    start = time.perf_counter()
-    serial = SerialExecutor(Machine(arch)).run(plan)
-    serial_elapsed = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = ParallelExecutor(Machine(arch), workers=4).run(plan)
-    parallel_elapsed = time.perf_counter() - start
-
-    assert parallel == serial  # bit-identity at benchmark scale too
-    print(
-        f"\nserial: {serial_elapsed * 1e3:.0f} ms, "
-        f"parallel (4 workers, cold caches): {parallel_elapsed * 1e3:.0f} ms "
-        f"({plan.size} cells)"
-    )
 
 
 def _spawn_replica() -> tuple[subprocess.Popen, str]:

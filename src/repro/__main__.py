@@ -1,11 +1,10 @@
 """``python -m repro`` -- headless measurement campaigns.
 
 Every subcommand drives the experiment execution engine
-(:mod:`repro.exec`): it builds an experiment plan, executes it serially
-or sharded across worker processes (``--parallel N``), and optionally
-persists every measurement in an on-disk result store (``--store
-DIR``) so re-runs are served from disk without touching the machine
-substrate.
+(:mod:`repro.exec`): it builds an experiment plan, measures it
+in-process, and optionally persists every measurement in an on-disk
+result store (``--store DIR``) so re-runs are served from disk without
+touching the machine substrate.
 
 Subcommands::
 
@@ -19,18 +18,19 @@ Subcommands::
 
 Any measuring subcommand accepts ``--server URL`` to execute its plan
 on a running campaign service instead of in-process -- results are
-bit-identical either way, but the service keeps machines, caches, the
-worker pool and the store resident across clients and dedupes
-overlapping in-flight plans.
+bit-identical either way, but the service keeps machines, caches and
+the store resident across clients and dedupes overlapping in-flight
+plans.  ``--shards URL[,URL...]`` splits a plan across several serve
+replicas (plus this process) -- the way to use more cores or hosts.
 
 Examples::
 
-    python -m repro sweep --workloads spec --parallel 4 --store .store
+    python -m repro sweep --workloads spec --store .store
     python -m repro sweep --topology 8big,4big+4little,8little
     python -m repro campaign --scale 0.05 --loop-size 256 --store .store
-    python -m repro -v stressmark --loop-size 384 --parallel 4
+    python -m repro -v stressmark --loop-size 384
     python -m repro store verify --store .store
-    python -m repro serve --store .store --parallel 4 --port 8787
+    python -m repro serve --store .store --port 8787
     python -m repro sweep --workloads daxpy --server http://127.0.0.1:8787
 """
 
@@ -42,7 +42,8 @@ import os
 import sys
 from collections.abc import Sequence
 
-from repro.exec.executors import default_executor
+from repro.errors import SettingError
+from repro.exec.executors import _env_int, default_executor
 from repro.march import get_architecture
 from repro.sim import (
     Machine,
@@ -56,14 +57,6 @@ logger = logging.getLogger("repro.cli")
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard plan cells across N worker processes (default: the "
-        "REPRO_PARALLEL environment variable, else serial)",
-    )
     parser.add_argument(
         "--store",
         metavar="DIR",
@@ -125,8 +118,7 @@ def _build_machine(arch, args: argparse.Namespace) -> Machine:
 
 def _build_executor(machine: Machine, args: argparse.Namespace):
     # Explicit flags win; unset flags fall back to the documented
-    # REPRO_PARALLEL / REPRO_STORE / REPRO_SERVER / REPRO_SHARDS
-    # environment knobs.
+    # REPRO_STORE / REPRO_SERVER / REPRO_SHARDS environment knobs.
     shards = getattr(args, "shards", None) or os.environ.get("REPRO_SHARDS")
     if shards:
         from repro.exec.shards import ShardedExecutor
@@ -150,7 +142,7 @@ def _build_executor(machine: Machine, args: argparse.Namespace):
             seed=args.seed,
             vector=False if args.no_vector else None,
         )
-    return default_executor(machine, parallel=args.parallel, store=args.store)
+    return default_executor(machine, store=args.store)
 
 
 def _report_store(executor) -> None:
@@ -168,8 +160,8 @@ def _report_store(executor) -> None:
                     f"{name}={value}" for name, value in sorted(stats.items())
                 )
             )
-    # Surface any recovery work (retries, respawns, quarantines) the
-    # run needed; a clean run prints nothing extra.
+    # Surface any recovery work (retries, degraded cells, quarantines)
+    # the run needed; a clean run prints nothing extra.
     report = getattr(executor, "last_report", None)
     if report is not None and (report.failures or report.fault_counters):
         print(f"execution: {report.describe()}")
@@ -368,19 +360,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.exec.service import MeasurementService, build_server
 
-    parallel = args.parallel
-    if parallel is None:
-        raw = os.environ.get("REPRO_PARALLEL", "")
-        parallel = int(raw) if raw.strip() else None
     store = args.store or os.environ.get("REPRO_STORE")
     port = args.port
     if port is None:
-        port = int(os.environ.get("REPRO_SERVE_PORT", "8787"))
+        port = _env_int("REPRO_SERVE_PORT", 8787)
     token = args.token or os.environ.get("REPRO_TOKEN")
 
     service = MeasurementService(
         store=store,
-        parallel=parallel,
         token=token,
         max_inflight_cells=args.max_inflight_cells,
         max_requests=args.max_requests,
@@ -391,7 +378,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"campaign service on {bound} "
         f"(store: {store or 'none'}, "
-        f"workers: {parallel or 'serial'}, "
         f"auth: {'token' if token else 'open'})",
         flush=True,
     )
@@ -621,14 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_SERVE_PORT environment variable, else 8787)",
     )
     serve.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard each plan across N resident worker processes "
-        "(default: REPRO_PARALLEL, else serial)",
-    )
-    serve.add_argument(
         "--store",
         metavar="DIR",
         help="result store backing the service; warm cells are served "
@@ -683,13 +661,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
         stream=sys.stderr,
     )
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except SettingError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI

@@ -74,7 +74,10 @@ def _format_memory(instruction: IRInstruction, program: Program) -> list[str]:
         offset = instruction.address - program.memory_base
 
     # Dependency-carried addressing: the producer's value is the
-    # address input, so no forming prelude is emitted.
+    # address input, so no forming prelude is emitted.  A chased D-form
+    # base already holds the whole address: displacement 0.
+    if instruction.dep_operand == "RA" and not definition.is_indexed:
+        return _format_dform(instruction, 0)
     if instruction.dep_operand in ("RA", "RB"):
         return [_format_plain(instruction)]
 

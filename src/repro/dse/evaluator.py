@@ -122,8 +122,8 @@ class MeasurementEvaluator:
         self.config = config
         self.objective = objective
         self.duration = duration
-        # Environment-resolved default: REPRO_PARALLEL/REPRO_STORE
-        # shard or persist every search this evaluator drives.
+        # Environment-resolved default: REPRO_STORE persists every
+        # search this evaluator drives.
         self.executor = (
             executor if executor is not None else default_executor(machine)
         )
@@ -151,7 +151,7 @@ class MeasurementEvaluator:
         duplicate genotypes deduplicate into one cell, the executor
         drives the misses through the machine's vectorized measurement
         plane (``Machine.run_cells``/``run_many`` -- one tensor pass
-        per batch, or sharded across workers), and a store-backed
+        per batch, or sharded across serve replicas), and a store-backed
         executor serves revisited points from disk across processes.
         """
         workloads = [self.builder(point) for point in points]

@@ -65,6 +65,14 @@ class MeasurementError(MicroProbeError):
     """The measurement harness was used incorrectly."""
 
 
+class SettingError(MicroProbeError, ValueError):
+    """A ``REPRO_*`` environment knob holds a value that cannot be used.
+
+    The message names the variable and the offending value; the CLI
+    reports it as a usage error (exit status 2).
+    """
+
+
 class ServiceError(MicroProbeError):
     """A campaign-service request cannot be served.
 

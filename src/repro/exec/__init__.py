@@ -4,8 +4,8 @@ The automation layer behind every measurement campaign::
 
     plan      what to measure  -- a deduplicated cross product of
               workloads/placements x configurations x p-states x window
-    executor  how to measure   -- serially, or sharded across worker
-              processes (bit-identical to serial)
+    executor  how to measure   -- in-process, or sharded across
+              ``repro serve`` replicas (bit-identical either way)
     store     where results go -- an on-disk JSON store keyed by
               content-addressed cell keys, so warm re-runs never touch
               ``Machine.run``
@@ -20,11 +20,7 @@ executor-shaped client for it.
 """
 
 from repro.exec.client import RemoteExecutor, ServiceClient
-from repro.exec.executors import (
-    ParallelExecutor,
-    SerialExecutor,
-    default_executor,
-)
+from repro.exec.executors import SerialExecutor, default_executor
 from repro.exec.faults import FaultPlan, parse_faults
 from repro.exec.journal import RunJournal, gc_journals, run_id
 from repro.exec.registry import RunRegistry
@@ -51,7 +47,6 @@ __all__ = [
     "ExperimentPlan",
     "FaultPlan",
     "MeasurementService",
-    "ParallelExecutor",
     "PlanCell",
     "RemoteExecutor",
     "ResultStore",

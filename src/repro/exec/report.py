@@ -21,12 +21,8 @@ from repro.measure.measurement import Measurement
 #: counters are omitted; anything here being non-zero means a recovery
 #: path actually ran.
 COUNTER_NAMES = (
-    "retries",            # chunk/cell re-executions after a failure
-    "worker_respawns",    # pool teardowns after a dead/hung worker
-    "chunk_timeouts",     # per-chunk deadlines that expired
-    "worker_deaths",      # dead worker processes detected
-    "worker_errors",      # exceptions raised inside a worker
-    "batch_failures",     # serial batches that fell back to per-cell
+    "retries",            # cell re-executions after a failure
+    "batch_failures",     # batches that fell back to per-cell
     "degraded_cells",     # cells re-executed serially in-process
     "store_put_retries",  # store appends retried after an OSError
     "store_put_failures", # store appends abandoned (results kept)

@@ -2,15 +2,17 @@
 
 ``python -m repro serve`` turns the execution engine into a
 long-running HTTP service.  Where every CLI invocation rebuilds hot
-machines, packed-kernel caches and worker pools from scratch, the
-service keeps them *resident*: one :class:`~repro.sim.machine.Machine`
-per (architecture, seed, plane) with its summary/stack memos warm, one
-shared :class:`~repro.exec.executors.ParallelExecutor` worker pool, and
-one :class:`~repro.exec.store.ResultStore` that every client request
-reads and feeds.  Because measurements are pure functions of content,
-the service can dedupe and cache aggressively without changing a
-single bit of output: a response is always bit-identical to a one-shot
-``SerialExecutor.run`` of the same plan.
+machines and packed-kernel caches from scratch, the service keeps them
+*resident*: one :class:`~repro.sim.machine.Machine` per (architecture,
+seed, plane) with its summary/stack memos warm, measured in-process by
+a :class:`~repro.exec.executors.SerialExecutor`, and one
+:class:`~repro.exec.store.ResultStore` that every client request reads
+and feeds.  Several replicas behind
+:class:`~repro.exec.shards.ShardedExecutor` are the way to spread a
+campaign over more cores or hosts.  Because measurements are pure
+functions of content, the service can dedupe and cache aggressively
+without changing a single bit of output: a response is always
+bit-identical to a one-shot ``SerialExecutor.run`` of the same plan.
 
 Endpoints (all JSON; streamed bodies are chunked JSON Lines):
 
@@ -73,9 +75,8 @@ Multi-tenant contracts:
   durable in the store, :func:`~repro.exec.journal.gc_journals`
   reclaims the journal (interrupted and quarantined runs are kept).
 
-Executions serialize on one engine lock (plans queue; cells within a
-plan still shard across the worker pool), which keeps the resident
-machine's caches and the parallel pool single-writer.  Everything is
+Executions serialize on one engine lock (plans queue), which keeps the
+resident machines' caches single-writer.  Everything is
 stdlib -- :class:`http.server.ThreadingHTTPServer`, one thread per
 connected client -- so the service adds no dependencies.
 """
@@ -96,7 +97,7 @@ from repro.errors import (
     UnknownArchitectureError,
 )
 from repro.exec import faults
-from repro.exec.executors import ParallelExecutor, SerialExecutor
+from repro.exec.executors import SerialExecutor
 from repro.exec.journal import RunJournal, audit_journals, gc_journals, run_id
 from repro.exec.plan import ExperimentPlan
 from repro.exec.registry import RunRegistry, plan_digest
@@ -207,9 +208,7 @@ class MeasurementService:
     def __init__(
         self,
         store: ResultStore | str | None = None,
-        parallel: int | None = None,
         retries: int | None = None,
-        timeout: float | None = None,
         flight_timeout: float = DEFAULT_FLIGHT_TIMEOUT_S,
         journal_gc: bool = True,
         token: str | None = None,
@@ -223,9 +222,7 @@ class MeasurementService:
             if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__")
             else store
         )
-        self.parallel = parallel
         self.retries = retries
-        self.timeout = timeout
         self.flight_timeout = flight_timeout
         self.journal_gc = journal_gc
         self.token = token or None
@@ -237,7 +234,7 @@ class MeasurementService:
         self.intern = WireInternCache()
         self._engines: dict[tuple, _Engine] = {}
         #: Serializes executor.execute calls: the resident machines'
-        #: caches and the parallel worker pool are single-writer.
+        #: caches are single-writer.
         #: Classification (store probes, flight claims) stays
         #: concurrent, so overlapping clients dedupe while a plan runs.
         self._engine_lock = threading.Lock()
@@ -392,40 +389,21 @@ class MeasurementService:
             machine = Machine(
                 get_architecture(arch_name), seed=seed, vector=resolved
             )
-            if self.parallel and self.parallel > 1:
-                executor = ParallelExecutor(
-                    machine,
-                    workers=self.parallel,
-                    store=self.store,
-                    retries=self.retries,
-                    timeout=self.timeout,
-                )
-            else:
-                executor = SerialExecutor(
-                    machine,
-                    store=self.store,
-                    retries=self.retries,
-                    timeout=self.timeout,
-                )
+            executor = SerialExecutor(
+                machine, store=self.store, retries=self.retries
+            )
             engine = _Engine(machine, executor)
             self._engines[key] = engine
             logger.info(
-                "engine up: %s seed=%d plane=%s executor=%s",
+                "engine up: %s seed=%d plane=%s",
                 arch_name,
                 seed,
                 "vector" if resolved else "scalar",
-                type(executor).__name__,
             )
             return engine
 
     def close(self) -> None:
-        """Release worker pools and store handles."""
-        with self._state_lock:
-            engines = list(self._engines.values())
-        for engine in engines:
-            close = getattr(engine.executor, "close", None)
-            if close is not None:
-                close()
+        """Release the store's handles."""
         if self.store is not None:
             self.store.close()
 

@@ -1,9 +1,8 @@
 """Multi-host shard scheduler: one plan across N serve replicas.
 
-:class:`ShardedExecutor` scales a campaign across machines the way
-:class:`~repro.exec.executors.ParallelExecutor` scales it across
-cores: the plan's unique cells are partitioned by **content-addressed
-cell-key prefix** across N ``python -m repro serve`` endpoints (plus,
+:class:`ShardedExecutor` is how a campaign scales past one process,
+on one host's cores or across hosts: the plan's unique cells are
+partitioned by **content-addressed cell-key prefix** across N ``python -m repro serve`` endpoints (plus,
 optionally, this process's own measurement plane as one more shard),
 each shard executes as an ordinary sub-plan on its backend, and the
 results merge back -- through the local content-addressed
@@ -243,12 +242,11 @@ class ShardedExecutor(_ExecutorBase):
         store: ResultStore | None = None,
         local: bool = True,
         retries: int | None = None,
-        timeout: float | None = None,
         request_timeout: float | None = None,
         breaker_threshold: int = _BREAKER_THRESHOLD,
         breaker_cooldown: float = _BREAKER_COOLDOWN_S,
     ) -> None:
-        super().__init__(machine, store, retries=retries, timeout=timeout)
+        super().__init__(machine, store, retries=retries)
         if isinstance(endpoints, str):
             endpoints = parse_shard_endpoints(endpoints)
         self.local = bool(local)

@@ -12,7 +12,7 @@ Since the execution-engine refactor the runner is a thin veneer over
 :mod:`repro.exec`: every entry point emits an
 :class:`~repro.exec.plan.ExperimentPlan` and hands it to an executor,
 so suites batch through ``Machine.run_many``, sweeps deduplicate
-repeated cells, and attaching a store-backed or parallel executor
+repeated cells, and attaching a store-backed or sharded executor
 accelerates any caller without further changes here.
 """
 
@@ -34,9 +34,9 @@ class MeasurementRunner:
     """Runs measurement campaigns on one machine.
 
     ``executor`` defaults to the environment-resolved executor
-    (``REPRO_PARALLEL``/``REPRO_STORE``; a plain in-process
-    :class:`~repro.exec.executors.SerialExecutor` when neither is
-    set); pass a :class:`~repro.exec.executors.ParallelExecutor` or a
+    (``REPRO_STORE``; a plain in-process
+    :class:`~repro.exec.executors.SerialExecutor` when it is unset);
+    pass a :class:`~repro.exec.shards.ShardedExecutor` or a
     store-backed executor explicitly to shard or persist every
     campaign this runner drives.  A service URL string (or a
     :class:`~repro.exec.client.RemoteExecutor`) routes every campaign

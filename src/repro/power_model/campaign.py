@@ -10,9 +10,9 @@ consume this single entry point so the experiments stay consistent.
 All data gathering is expressed as
 :class:`~repro.exec.plan.ExperimentPlan` cross products and executed
 through the campaign's executor: the default (environment-resolved)
-executor keeps historical serial behaviour, while a parallel or
-store-backed executor shards the hundreds of suite x configuration
-cells across workers and/or serves warm re-runs from disk.  Under
+executor measures in-process, while a sharded or store-backed
+executor spreads the hundreds of suite x configuration cells across
+serve replicas and/or serves warm re-runs from disk.  Under
 every executor, the suite's kernel cells evaluate through the
 machine's vectorized measurement plane (:mod:`repro.sim.vector`) --
 whole sweeps as single tensor passes, bit-identical to the scalar
@@ -282,8 +282,8 @@ class HeterogeneousCampaign:
     of the topology gets models trained on its own silicon.
 
     ``executor_factory`` (machine -> executor) lets callers attach a
-    store-backed or parallel executor per class machine; the default
-    resolves the usual ``REPRO_PARALLEL``/``REPRO_STORE`` knobs.
+    store-backed or sharded executor per class machine; the default
+    resolves the usual ``REPRO_STORE`` knob.
     """
 
     def __init__(

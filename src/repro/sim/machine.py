@@ -270,8 +270,8 @@ class Machine:
         The plan's unique cells evaluate through :meth:`run_cells`
         (one tensor pass across every configuration), and results fan
         back out to the plan's requested order.  This is the
-        in-process fast path; executors add stores and worker sharding
-        on top.
+        in-process fast path; executors add stores, fault recovery and
+        replica sharding on top.
         """
         return plan.expand(self.run_cells(plan.cells, plan=plan))
 

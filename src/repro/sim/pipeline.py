@@ -159,7 +159,7 @@ class CorePipelineModel:
         }
         # Per-mnemonic rows compile lazily on first use (see _row):
         # a model constructed for a handful of kernels -- cold executor
-        # machines, parallel workers -- never pays for the full ISA.
+        # machines, fresh service engines -- never pays for the full ISA.
         self._rows: dict[str, _PropertyRow] = {}
         self._summaries: LRUCache[int, KernelSummary] = LRUCache(
             SUMMARY_CACHE_LIMIT, "pipeline.summaries"

@@ -242,7 +242,7 @@ def _sequential_row_sum(terms: np.ndarray) -> np.ndarray:
 # when a reader actually asks.  The view satisfies the Mapping
 # contract -- ``dict(view)``, ``items()``, ``get``, equality with the
 # scalar walk's plain dicts -- and pickles/deep-copies *as* a plain
-# dict, so worker-process results and serialized store records are
+# dict, so pickled copies and serialized store records are
 # indistinguishable from scalar-plane output.
 
 
@@ -321,7 +321,7 @@ class _LazyReadings(tuple):
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):
-        # Pickle (worker pipes) and deepcopy materialize to the plain
+        # Pickle and deepcopy materialize to the plain
         # dict the scalar walk would have produced.
         return (dict, (list(zip(self._names, self._values())),))
 

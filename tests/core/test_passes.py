@@ -311,6 +311,33 @@ class TestDependencyOperandInvariant:
             assert lines[-1].endswith(f", {scratch}"), lines
         ValidateProgram().apply(program, context(arch))
 
+    def test_chased_dform_addresses_through_its_base(self, arch):
+        """A D-form slot linked through ``RA`` loads from the chased
+        register at displacement 0 -- that register already holds the
+        address -- while X-form slots linked through ``RB`` render
+        their operands in definition order."""
+        from repro.core.emit.formatting import format_instruction
+
+        program = self._linked(arch)
+        memory = program.memory_instructions()
+        dform = [ins for ins in memory if not ins.definition.is_indexed]
+        assert len(dform) == 32
+        for ins in dform:
+            assert ins.dep_operand == "RA"
+            data = f"f{ins.registers['FRT']}"
+            assert format_instruction(ins, program) == [
+                f"lfd {data}, 0(r{ins.registers['RA']})"
+            ]
+        xform = [ins for ins in memory if ins.definition.is_indexed]
+        assert len(xform) == 64
+        for ins in xform:
+            assert ins.dep_operand == "RB"
+            lines = format_instruction(ins, program)
+            assert lines == [
+                f"{ins.mnemonic} r{ins.registers['RT']}, "
+                f"r{ins.registers['RA']}, r{ins.registers['RB']}"
+            ]
+
     #: Kernel digests of the pipelines below, recorded before unlinking
     #: restored base registers: kernels do not key on registers.
     UNLINKED_DIGESTS = {

@@ -13,9 +13,8 @@ class TestParser:
     def test_engine_options_shared(self):
         for command in ("sweep", "campaign", "stressmark"):
             args = build_parser().parse_args(
-                [command, "--parallel", "2", "--store", "x", "--duration", "1"]
+                [command, "--store", "x", "--duration", "1"]
             )
-            assert args.parallel == 2
             assert args.store == "x"
             assert args.duration == 1.0
 
@@ -64,24 +63,6 @@ class TestSweepCommand:
         # Same numbers, zero fresh measurements.
         assert cold.splitlines()[1] == warm.splitlines()[1]
         assert "0 measured this run" in warm
-
-    def test_sweep_parallel_matches_serial(self, capsys, tmp_path):
-        base = [
-            "sweep",
-            "--workloads",
-            "daxpy",
-            "--configs",
-            "2-1,2-2,2-4",
-            "--loop-size",
-            "96",
-            "--duration",
-            "1",
-        ]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--parallel", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
 
 
 class TestHeterogeneousSweepCommand:
@@ -216,3 +197,24 @@ class TestStoreCommand:
         monkeypatch.delenv("REPRO_STORE", raising=False)
         assert main(["store", "verify"]) == 2
         assert "no store directory" in capsys.readouterr().err
+
+
+class TestEnvironmentKnobs:
+    """A malformed numeric ``REPRO_*`` knob is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5"])
+    def test_bad_retries_is_a_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_RETRIES", raw)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--configs", "1-1", "--duration", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"REPRO_RETRIES must be an integer >= 0, got {raw!r}" in err
+
+    def test_bad_serve_port_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_PORT", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "REPRO_SERVE_PORT must be an integer >= 0, got 'abc'" in err

@@ -1,29 +1,18 @@
 """Fault tolerance: recovery is invisible in the measurement bytes.
 
-The acceptance property of the hardened engine: under injected worker
-crashes, hangs, slow batches and transient store I/O errors, a full
-sweep completes *bit-identical* to the fault-free run -- on both the
-vectorized and the scalar measurement plane -- and only a cell that
-keeps failing everywhere (the ``poison`` site) is quarantined into a
-structured :class:`CellFailure` instead of aborting the campaign.
+The acceptance property of the hardened engine: under injected batch
+failures (a transient ``poison``) and transient store I/O errors, a
+full sweep completes *bit-identical* to the fault-free run -- on both
+the vectorized and the scalar measurement plane -- and only a cell that
+keeps failing on every attempt (an unbounded ``poison``) is quarantined
+into a structured :class:`CellFailure` instead of aborting the
+campaign.
 """
-
-import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
 
 import pytest
 
 from repro.errors import ExecutionError
-from repro.exec import (
-    ExperimentPlan,
-    ParallelExecutor,
-    ResultStore,
-    SerialExecutor,
-)
+from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
 from repro.exec import faults
 from repro.exec.faults import FaultPlan
 from repro.exec.report import CellFailure, ExecutionReport
@@ -52,40 +41,28 @@ def baseline(power7_arch, small_plan):
     return SerialExecutor(Machine(power7_arch)).run(small_plan)
 
 
-def _faulted_parallel_run(power7_arch, plan, fault_plan, **kwargs):
-    """Run ``plan`` on a fresh 2-worker executor under ``fault_plan``."""
+def _faulted_run(power7_arch, plan, fault_plan, machine=None, **kwargs):
+    """Run ``plan`` on a fresh executor under ``fault_plan``."""
     with faults.injected(fault_plan):
-        with ParallelExecutor(
-            Machine(power7_arch), workers=2, chunk_size=2, **kwargs
-        ) as executor:
-            report = executor.execute(plan)
-    return report
+        executor = SerialExecutor(machine or Machine(power7_arch), **kwargs)
+        return executor.execute(plan)
+
+
+def _poisoned(plan, fault_plan) -> set[int]:
+    """Indices of the cells ``fault_plan`` poisons on a first attempt."""
+    return {
+        index
+        for index, cell in enumerate(plan.cells)
+        if fault_plan.fire("poison", faults.cell_key(cell), attempt=0)
+    }
+
+
+def _transient_poison() -> FaultPlan:
+    """Poison ~40 % of the cells once each: a batch fails, retries heal."""
+    return FaultPlan(seed=4).arm("poison", probability=0.4, times=1)
 
 
 class TestBitIdentityUnderFaults:
-    def test_worker_crashes_are_invisible(
-        self, power7_arch, small_plan, baseline
-    ):
-        report = _faulted_parallel_run(
-            power7_arch, small_plan, FaultPlan(seed=7).arm("crash")
-        )
-        assert report.ok
-        assert list(report) == baseline
-        assert report.fault_counters["worker_deaths"] >= 1
-        assert report.fault_counters["worker_respawns"] >= 1
-
-    def test_hung_workers_are_reaped_by_the_watchdog(
-        self, power7_arch, small_plan, baseline
-    ):
-        fault_plan = FaultPlan(seed=3, hang_s=10.0).arm("hang")
-        report = _faulted_parallel_run(
-            power7_arch, small_plan, fault_plan, timeout=0.5
-        )
-        assert report.ok
-        assert list(report) == baseline
-        assert report.fault_counters["chunk_timeouts"] >= 1
-        assert report.fault_counters["worker_respawns"] >= 1
-
     def test_transient_store_io_is_retried(
         self, power7_arch, small_plan, baseline, tmp_path
     ):
@@ -120,15 +97,33 @@ class TestBitIdentityUnderFaults:
     def test_exhausted_retries_degrade_to_serial_not_abort(
         self, power7_arch, small_plan, baseline
     ):
-        # Unbounded crash: every worker-side attempt dies, so chunks
-        # exhaust their retries and fall back to in-process execution
-        # (where the crash site never fires) -- still bit-identical.
-        fault_plan = FaultPlan(seed=1).arm("crash", times=10_000)
-        report = _faulted_parallel_run(
-            power7_arch, small_plan, fault_plan, retries=1
+        # Partial unbounded poison: the batch fails, every cell
+        # re-executes on its own, and the poisoned cells exhaust their
+        # one retry -- the run still returns every healthy cell,
+        # bit-identical, instead of aborting.
+        fault_plan = FaultPlan(seed=4).arm("poison", probability=0.4)
+        poisoned = _poisoned(small_plan, fault_plan)
+        assert 0 < len(poisoned) < small_plan.size  # seed chosen for a mix
+        report = _faulted_run(power7_arch, small_plan, fault_plan, retries=1)
+        counters = report.fault_counters
+        assert counters["batch_failures"] == 1
+        assert counters["degraded_cells"] == small_plan.size
+        assert counters["retries"] == len(poisoned)
+        assert [failure.attempts for failure in report.failures] == [
+            2
+        ] * len(poisoned)
+        for index, measurement in enumerate(report):
+            assert measurement == (None if index in poisoned else baseline[index])
+
+    def test_transient_batch_failure_recovers_bit_identical(
+        self, power7_arch, small_plan, baseline
+    ):
+        report = _faulted_run(
+            power7_arch, small_plan, _transient_poison(), retries=1
         )
         assert report.ok
         assert list(report) == baseline
+        assert report.fault_counters["batch_failures"] == 1
         assert report.fault_counters["degraded_cells"] == small_plan.size
 
     def test_scalar_plane_recovers_identically(
@@ -138,26 +133,31 @@ class TestBitIdentityUnderFaults:
             Machine(power7_arch, vector=False)
         ).run(small_plan)
         assert scalar_baseline == baseline  # planes agree fault-free
-        with faults.injected(FaultPlan(seed=7).arm("crash")):
-            with ParallelExecutor(
-                Machine(power7_arch, vector=False), workers=2, chunk_size=2
-            ) as executor:
-                report = executor.execute(small_plan)
+        report = _faulted_run(
+            power7_arch,
+            small_plan,
+            _transient_poison(),
+            machine=Machine(power7_arch, vector=False),
+            retries=1,
+        )
         assert report.ok
         assert list(report) == baseline
-        assert report.fault_counters["worker_respawns"] >= 1
+        assert report.fault_counters["degraded_cells"] == small_plan.size
 
     def test_store_backed_faulted_run_equals_clean_warm_run(
         self, power7_arch, small_plan, baseline, tmp_path
     ):
         store = ResultStore(tmp_path / "store")
-        fault_plan = FaultPlan(seed=11).arm("crash").arm("io")
+        fault_plan = _transient_poison().arm("io")
         with faults.injected(fault_plan):
-            with ParallelExecutor(
-                Machine(power7_arch), workers=2, chunk_size=2, store=store
-            ) as executor:
-                faulted = executor.run(small_plan)
+            executor = SerialExecutor(
+                Machine(power7_arch), store=store, retries=1
+            )
+            faulted = executor.run(small_plan)
         assert faulted == baseline
+        counters = executor.last_report.fault_counters
+        assert counters["batch_failures"] >= 1
+        assert counters["store_put_retries"] >= 1
         # The store contents are clean: a fault-free warm run serves
         # byte-identical measurements.
         warm = SerialExecutor(
@@ -170,10 +170,10 @@ class TestQuarantine:
     def test_poisoned_cells_quarantine_instead_of_aborting(
         self, power7_arch, small_plan
     ):
-        # Poison fires everywhere (workers *and* the degraded serial
-        # fallback), so these cells cannot be measured at all -- the
-        # campaign must finish anyway, reporting them.
-        report = _faulted_parallel_run(
+        # Poison fires on every attempt (the batch *and* the degraded
+        # per-cell fallback), so these cells cannot be measured at all
+        # -- the campaign must finish anyway, reporting them.
+        report = _faulted_run(
             power7_arch, small_plan, FaultPlan(seed=2).arm("poison"), retries=1
         )
         assert isinstance(report, ExecutionReport)
@@ -191,13 +191,9 @@ class TestQuarantine:
     ):
         fault_plan = FaultPlan(seed=4)
         fault_plan.arm("poison", probability=0.4)
-        poisoned = {
-            index
-            for index, cell in enumerate(small_plan.cells)
-            if fault_plan.fire("poison", faults.cell_key(cell), attempt=0)
-        }
+        poisoned = _poisoned(small_plan, fault_plan)
         assert 0 < len(poisoned) < small_plan.size  # seed chosen for a mix
-        report = _faulted_parallel_run(
+        report = _faulted_run(
             power7_arch, small_plan, fault_plan, retries=0
         )
         assert len(report.failures) == len(poisoned)
@@ -220,12 +216,10 @@ class TestQuarantine:
         assert executor.last_report is report
 
     def test_report_describe_is_informative(self, power7_arch, small_plan):
-        report = _faulted_parallel_run(
-            power7_arch, small_plan, FaultPlan(seed=7).arm("crash")
-        )
+        report = _faulted_run(power7_arch, small_plan, _transient_poison())
         text = report.describe()
         assert f"{small_plan.size}/{small_plan.size} cells measured" in text
-        assert "worker_respawns" in text
+        assert "degraded_cells" in text
 
 
 class TestEvaluatorQuarantineScoring:
@@ -253,68 +247,3 @@ class TestEvaluatorQuarantineScoring:
         with faults.injected(FaultPlan(seed=0).arm("poison")):
             scores = evaluator.evaluate_many(points)
         assert scores == [float("-inf")] * len(points)
-
-
-class TestSigintHandling:
-    def test_ctrl_c_does_not_spew_worker_tracebacks(self, tmp_path):
-        """Satellite regression: SIGINT to the process group (what a
-        terminal Ctrl-C delivers) must be handled by the parent alone
-        -- no per-worker KeyboardInterrupt tracebacks, no deadlocked
-        pool teardown."""
-        ready = tmp_path / "ready"
-        script = textwrap.dedent(
-            f"""
-            import pathlib
-            from repro.exec import ExperimentPlan, ParallelExecutor
-            from repro.march import get_architecture
-            from repro.sim import Machine, MachineConfig
-            from repro.workloads import daxpy_kernels
-
-            arch = get_architecture("POWER7")
-            machine = Machine(arch)
-            plan = ExperimentPlan.cross(
-                daxpy_kernels(arch, loop_size=96),
-                [MachineConfig(2, 1), MachineConfig(2, 2)],
-                duration=1.0,
-            )
-            executor = ParallelExecutor(machine, workers=2, chunk_size=1)
-            executor._ensure_pool()
-            pathlib.Path({str(ready)!r}).write_text("ready")
-            executor.run(plan)
-            print("COMPLETED")
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH"), "src") if p
-        )
-        # Every chunk sleeps 30 s in the worker, so the campaign is
-        # mid-measurement for the whole test window.
-        env["REPRO_FAULTS"] = "slow:1,slow_s:30"
-        process = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            start_new_session=True,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            while not ready.exists():
-                assert time.monotonic() < deadline, "campaign never started"
-                assert process.poll() is None, process.communicate()[1]
-                time.sleep(0.05)
-            time.sleep(0.3)  # let the workers reach their sleeps
-            os.killpg(os.getpgid(process.pid), signal.SIGINT)
-            stdout, stderr = process.communicate(timeout=30)
-        finally:
-            if process.poll() is None:  # pragma: no cover - hang guard
-                os.killpg(os.getpgid(process.pid), signal.SIGKILL)
-                process.communicate()
-                pytest.fail("process deadlocked after SIGINT")
-        assert process.returncode != 0
-        assert "COMPLETED" not in stdout
-        # The regression: without SIG_IGN in the worker initializer,
-        # every pool worker prints its own KeyboardInterrupt traceback.
-        assert "ForkPoolWorker" not in stderr

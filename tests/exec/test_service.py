@@ -350,8 +350,9 @@ class TestServedChaos:
     def test_faulted_campaign_completes_bit_identical(
         self, tmp_path, power7_arch, small_kernel_factory
     ):
-        """Worker crashes under the server: the run completes with
-        zero quarantines and byte-identical measurements."""
+        """Transient store I/O faults and slowed batches under the
+        server: the run completes with zero quarantines and
+        byte-identical measurements."""
         plan = ExperimentPlan.cross(
             [
                 small_kernel_factory("add", count=24),
@@ -362,9 +363,11 @@ class TestServedChaos:
             duration=_DURATION,
         )
         baseline = SerialExecutor(Machine(power7_arch)).run(plan)
-        with faults.injected(FaultPlan(seed=7).arm("crash")):
+        fault_plan = FaultPlan(seed=11, slow_s=0.01)
+        fault_plan.arm("io", probability=0.3).arm("slow", probability=0.2)
+        with faults.injected(fault_plan):
             service = MeasurementService(
-                store=tmp_path / "store", parallel=2, flight_timeout=60.0
+                store=tmp_path / "store", flight_timeout=60.0
             )
             server, url = _start(service)
             try:
